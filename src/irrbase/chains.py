@@ -9,6 +9,15 @@ and a fixed point can never produce the strict drop irredundancy requires.
 Representatives are the smallest point of each orbit, visited in increasing
 order, which makes every reported witness deterministic.
 
+One traversal, ``_bases``, serves all three searches: it yields the
+irredundant bases in this order, and each search consumes it with its own
+cut.  ``achievable_lengths`` cuts nothing and keeps the first base of each
+length; ``min_base_length`` cuts by a budget under iterative deepening;
+``max_irredundant_length`` cuts by the best length found so far.  Each cut
+only drops subtrees that provably hold no base the search could keep (the
+arguments are in the search docstrings), so all three report the witness
+the full traversal finds first for their length.
+
 Two node representations are used: small stabilizers are materialized as a
 dense matrix of element images (orbits and stabilizers become cheap array
 operations); larger ones stay as chain-backed groups.  A stabilizer of
@@ -19,6 +28,7 @@ reaches the identity, so the node contributes exactly one new length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -138,10 +148,6 @@ class _MatrixNode:
         sizes = self._orbit_data()[1]
         return max(sizes) if sizes else 1
 
-    def smallest_moved_point(self) -> int:
-        moved = (self.mat != self._arange).any(axis=0)
-        return int(np.argmax(moved))
-
     def child(self, point: int) -> "_MatrixNode":
         mask = self.mat[:, point] == point
         return _MatrixNode(self.mat[mask], self._arange)
@@ -174,12 +180,8 @@ class _GroupNode:
         sizes = self._orbit_data()[1]
         return max(sizes) if sizes else 1
 
-    def smallest_moved_point(self) -> int:
-        return min(g.smallest_moved_point() for g in self.group.generators)
-
     def child(self, point: int):
-        stab = self.group.stabilizer_of_point(point)
-        return _make_node(stab)
+        return _make_node(self.group.stabilizer_of_point(point))
 
 
 def _matrix_from_group(group: PermGroup) -> _MatrixNode:
@@ -198,8 +200,27 @@ def _make_node(group: PermGroup):
 # searches
 # --------------------------------------------------------------------------
 
-def _prime_shortcut(order: int) -> bool:
-    return order <= _MATRIX_MAX_ORDER and is_prime(order)
+def _bases(node, prefix: tuple[int, ...], cut: Callable) -> Iterator[tuple[int, ...]]:
+    """Lazily yield the irredundant bases below `node` that extend `prefix`,
+    in the module's deterministic order.
+
+    A trivial node yields `prefix` itself.  Otherwise ``cut(node, prefix)``
+    may prune the subtree; the caller's cut is read afresh at every node, so
+    it may tighten as bases are consumed.  A prime-order node yields one
+    base, through its smallest moved point; any other node recurses into
+    the stabilizer of each orbit representative in increasing order.
+    """
+    order = node.order
+    if order == 1:
+        yield prefix
+        return
+    if cut(node, prefix):
+        return
+    if order <= _MATRIX_MAX_ORDER and is_prime(order):
+        yield prefix + (node.reps()[0],)  # the smallest moved point
+        return
+    for rep in node.reps():
+        yield from _bases(node.child(rep), prefix + (rep,), cut)
 
 
 def achievable_lengths(group: PermGroup) -> IntervalReport:
@@ -207,22 +228,8 @@ def achievable_lengths(group: PermGroup) -> IntervalReport:
     (deterministic, first-found) witness per achieved length."""
     domain = group.domain
     witnesses: dict[int, tuple[int, ...]] = {}
-
-    def record(length: int, prefix: tuple[int, ...]) -> None:
-        witnesses.setdefault(length, prefix)
-
-    def explore(node, prefix: tuple[int, ...]) -> None:
-        order = node.order
-        if order == 1:
-            record(len(prefix), prefix)
-            return
-        if _prime_shortcut(order):
-            record(len(prefix) + 1, prefix + (node.smallest_moved_point(),))
-            return
-        for rep in node.reps():
-            explore(node.child(rep), prefix + (rep,))
-
-    explore(_make_node(group), ())
+    for base in _bases(_make_node(group), (), lambda node, prefix: False):
+        witnesses.setdefault(len(base), base)
     lengths = frozenset(witnesses)
     lo, hi = min(lengths), max(lengths)
     return IntervalReport(
@@ -261,61 +268,38 @@ def exhaustive_lengths(group: PermGroup, max_order: int = 20000, max_points: int
 
 def min_base_length(group: PermGroup) -> tuple[int, BaseSequence]:
     """Smallest base cardinality, by iterative deepening over orbit
-    representatives; a node is cut when even the largest possible orbit
-    drops cannot reach the identity within the remaining budget."""
-    domain = group.domain
-    if group.order == 1:
-        return 0, BaseSequence(domain, ())
-
-    def dfs(node, prefix: tuple[int, ...], budget: int):
-        order = node.order
-        if order == 1:
-            return prefix
-        if budget == 0 or node.max_orbit_size() ** budget < order:
-            return None
-        if _prime_shortcut(order):
-            return prefix + (node.smallest_moved_point(),)
-        for rep in node.reps():
-            found = dfs(node.child(rep), prefix + (rep,), budget - 1)
-            if found is not None:
-                return found
-        return None
-
+    representatives from bound 0.  A node is cut when even the largest
+    orbit drops cannot reach the identity within the remaining budget:
+    every later stabilizer's orbits lie inside the current ones, so each
+    further point divides the order by at most the current largest orbit
+    size.  The first base found at the first bound that admits one is
+    therefore a minimum one."""
     root = _make_node(group)
-    bound = 1
+    bound = 0
+
+    def over_budget(node, prefix: tuple[int, ...]) -> bool:
+        budget = bound - len(prefix)
+        return budget == 0 or node.max_orbit_size() ** budget < node.order
+
     while True:
-        found = dfs(root, (), bound)
+        found = next(_bases(root, (), over_budget), None)
         if found is not None:
-            return len(found), BaseSequence(domain, found)
+            return len(found), BaseSequence(group.domain, found)
         bound += 1
 
 
 def max_irredundant_length(group: PermGroup) -> tuple[int, BaseSequence]:
     """Largest irredundant base cardinality, by branch-and-bound: each
-    strict step at least halves the order, so a subtree is cut when
-    len(prefix) + log2(order) cannot beat the current best."""
-    domain = group.domain
-    best: dict = {"len": -1, "wit": ()}
+    strict step at least halves the order, so a subtree whose
+    len(prefix) + floor(log2(order)) cannot beat the best length found so
+    far holds no longer base and is cut."""
+    best: tuple[int, ...] = ()
+    best_len = -1
 
-    def upper(order: int) -> int:
-        return order.bit_length() - 1  # floor(log2(order))
+    def cannot_beat(node, prefix: tuple[int, ...]) -> bool:
+        return len(prefix) + node.order.bit_length() - 1 <= best_len
 
-    def dfs(node, prefix: tuple[int, ...]) -> None:
-        order = node.order
-        if order == 1:
-            if len(prefix) > best["len"]:
-                best["len"] = len(prefix)
-                best["wit"] = prefix
-            return
-        if len(prefix) + upper(order) <= best["len"]:
-            return
-        if _prime_shortcut(order):
-            if len(prefix) + 1 > best["len"]:
-                best["len"] = len(prefix) + 1
-                best["wit"] = prefix + (node.smallest_moved_point(),)
-            return
-        for rep in node.reps():
-            dfs(node.child(rep), prefix + (rep,))
-
-    dfs(_make_node(group), ())
-    return best["len"], BaseSequence(domain, best["wit"])
+    for base in _bases(_make_node(group), (), cannot_beat):
+        if len(base) > best_len:
+            best_len, best = len(base), base
+    return best_len, BaseSequence(group.domain, best)

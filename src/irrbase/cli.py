@@ -25,6 +25,7 @@ from .perm import Domain, PermGroup
 from .realize import (
     GroupSpec,
     GuardExceededError,
+    ResourceGuard,
     UnsupportedIntervalError,
     describe_size,
     instantiate,
@@ -83,10 +84,15 @@ def _cmd_realize(args) -> int:
     if not args.instantiate:
         sys.stdout.write(_dump({"spec": spec.to_json_dict()}))
         return EXIT_OK
+    try:
+        guard = ResourceGuard.from_env()
+    except ValueError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_INVALID
     timings: dict | None = {} if args.timings else None
     t0 = time.perf_counter()
     try:
-        group, domain = instantiate(spec)
+        group, domain = instantiate(spec, guard)
     except GuardExceededError as e:
         sys.stdout.write(
             _dump(

@@ -9,10 +9,12 @@ Conventions
 * A :class:`Domain` owns the point labels; permutations are dense int32
   image arrays over ``0..size-1``.  Permutations and finished groups are
   immutable and safe to share between threads.
-* Transversals are stored as Schreier vectors (arrays of directed edge
-  codes, no per-point elements); coset representatives are reconstructed
-  on demand.  Trees are kept shallow by adding extra tree generators when
-  a point's depth exceeds twice the current tree size.
+* Transversals are :class:`SchreierTree` objects: Schreier vectors (arrays
+  of directed edge codes, no per-point elements) grown by one BFS, with
+  coset representatives reconstructed on demand by one path walk.  Both
+  ``orbit()`` and every stabilizer-chain level use it.  Chain trees are
+  kept shallow by adding extra tree generators when a point's depth
+  exceeds twice the current tree size.
 * Base points are chosen as the smallest moved point, except where a base
   prefix is prescribed (pointwise stabilizers, chain reports).
 """
@@ -44,9 +46,6 @@ class Domain:
 
     def index_of(self, label) -> int:
         return self._index[label]
-
-    def label_of(self, i: int):
-        return self.labels[i]
 
     def identity(self) -> "Permutation":
         return Permutation(self, self._arange, _validate=False)
@@ -132,9 +131,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return bool((self.image == self.domain._arange).all())
 
-    def moved_points(self) -> np.ndarray:
-        return np.nonzero(self.image != self.domain._arange)[0]
-
     def smallest_moved_point(self) -> int | None:
         diff = self.image != self.domain._arange
         idx = int(np.argmax(diff))
@@ -182,78 +178,106 @@ class Permutation:
 # orbits with Schreier transversals
 # --------------------------------------------------------------------------
 
-class OrbitTransversal:
+def _edge(g: Permutation) -> tuple[np.ndarray, np.ndarray]:
+    return g.image, g.inverse().image
+
+
+class SchreierTree:
     """An orbit plus a Schreier vector for rebuilding coset representatives.
 
-    ``points`` lists the orbit in BFS discovery order (root first); for each
-    point ``transversal(p)`` returns an element u of the generated group with
-    root^u = p.
+    ``edges`` holds directed (image, inverse image) array pairs; ``sv`` is
+    the Schreier vector (-1 root, -2 outside the orbit, otherwise ``2*t + d``
+    meaning the point was discovered applying ``edges[t][d]``); ``depth`` is
+    each point's distance from the root, and ``orbit`` lists the orbit in
+    discovery order (root first).
     """
 
-    __slots__ = ("domain", "root", "points", "_sv", "_edges")
+    __slots__ = ("domain", "root", "edges", "sv", "depth", "orbit")
 
-    def __init__(self, domain, root, points, sv, edges):
+    def __init__(self, domain: Domain, root: int, edges: list[tuple[np.ndarray, np.ndarray]]):
         self.domain = domain
         self.root = root
-        self.points = points
-        self._sv = sv
-        self._edges = edges
+        self.edges = edges
+        self.reset()
 
-    def __contains__(self, point: int) -> bool:
-        return self._sv[point] != -2
+    def reset(self) -> None:
+        """Forget every point but the root."""
+        n = self.domain.size
+        self.sv = np.full(n, -2, dtype=np.int64)
+        self.sv[self.root] = -1
+        self.depth = np.zeros(n, dtype=np.int32)
+        self.orbit = [self.root]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.orbit)
 
-    def as_set(self) -> set[int]:
-        return set(self.points)
-
-    def _path_codes(self, point: int) -> list[int]:
-        codes = []
-        while point != self.root:
-            code = int(self._sv[point])
-            if code == -2:
-                raise ValueError(f"point {point} is not in the orbit")
-            codes.append(code)
-            t, d = divmod(code, 2)
-            point = int(self._edges[t][1 - d][point])
-        codes.reverse()
-        return codes
-
-    def transversal(self, point: int) -> Permutation:
-        img = np.array(self.domain._arange)
-        for code in self._path_codes(point):
-            t, d = divmod(code, 2)
-            img = self._edges[t][d][img]
-        img.setflags(write=False)
-        return Permutation(self.domain, img, _validate=False)
-
-
-def orbit(gens: Sequence[Permutation], point: int) -> OrbitTransversal:
-    """Smallest set containing `point` closed under the generators, with a
-    Schreier transversal."""
-    if not gens:
-        raise ValueError("orbit requires at least one generator (use the identity)")
-    domain = gens[0].domain
-    edges = [(g.image, g.inverse().image) for g in gens]
-    sv = np.full(domain.size, -2, dtype=np.int64)
-    sv[point] = -1
-    points = [point]
-    pos = 0
-    while pos < len(points):
-        a = points[pos]
-        pos += 1
-        for t, (img, inv) in enumerate(edges):
-            for d, arr in ((0, img), (1, inv)):
+    def grow(self, pos: int = 0, first_edge: int = 0, limit: int | None = None) -> int | None:
+        """Breadth-first search from ``orbit[pos]`` on, applying
+        ``edges[first_edge:]`` to each orbit point in turn (points found are
+        appended and visited too).  Stops at, and returns, the first point
+        found deeper than ``limit``; returns None once the orbit is closed."""
+        limit = self.domain.size if limit is None else limit
+        steps = [(2 * t + d, arr) for t in range(first_edge, len(self.edges))
+                 for d, arr in enumerate(self.edges[t])]
+        sv, depth, orbit = self.sv, self.depth, self.orbit
+        while pos < len(orbit):
+            a = orbit[pos]
+            pos += 1
+            da = int(depth[a]) + 1
+            for code, arr in steps:
                 b = int(arr[a])
                 if sv[b] == -2:
-                    sv[b] = 2 * t + d
-                    points.append(b)
-    return OrbitTransversal(domain, point, points, sv, edges)
+                    sv[b] = code
+                    depth[b] = da
+                    orbit.append(b)
+                    if da > limit:
+                        return b
+        return None
+
+    def _path(self, point: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (forward, backward) edge arrays on the tree path from
+        ``point`` up to the root, deepest first."""
+        path = []
+        while point != self.root:
+            code = int(self.sv[point])
+            if code == -2:
+                raise ValueError(f"point {point} is not in the orbit")
+            t, d = divmod(code, 2)
+            forward, backward = self.edges[t][d], self.edges[t][1 - d]
+            path.append((forward, backward))
+            point = int(backward[point])
+        return path
+
+    def image(self, point: int) -> np.ndarray:
+        """Image array of the coset representative u with root^u = point
+        (the domain's shared read-only arange when point is the root)."""
+        img = self.domain._arange
+        for forward, _ in reversed(self._path(point)):
+            img = forward[img]
+        return img
+
+    def strip(self, delta: int, img: np.ndarray) -> np.ndarray:
+        """img times the inverse of the representative of delta."""
+        for _, backward in self._path(delta):
+            img = backward[img]
+        return img
+
+
+def orbit(gens: Sequence[Permutation], point: int) -> SchreierTree:
+    """Smallest set containing `point` closed under the generators, with a
+    Schreier tree."""
+    if not gens:
+        raise ValueError("orbit requires at least one generator (use the identity)")
+    tree = SchreierTree(gens[0].domain, point, [_edge(g) for g in gens])
+    tree.grow()
+    return tree
 
 
 def orbit_partition(gens: Sequence[Permutation], n: int) -> list[list[int]]:
-    """All orbits of the generated group, each sorted, ordered by minimum."""
+    """All orbits of the generated group, each sorted, ordered by minimum.
+
+    Builds no Schreier tree: one ``seen`` array serves every orbit, where a
+    tree per orbit would allocate n-sized vectors for each one."""
     seen = np.zeros(n, dtype=bool)
     out = []
     images = [g.image for g in gens]
@@ -279,30 +303,49 @@ def orbit_partition(gens: Sequence[Permutation], n: int) -> list[list[int]]:
 # Schreier-Sims stabilizer chain
 # --------------------------------------------------------------------------
 
-class _Level:
-    """One level of a stabilizer chain.
+class _Level(SchreierTree):
+    """One level of a stabilizer chain: the Schreier tree of the base point
+    ``root`` under ``gens``.
 
     ``gens`` lists the strong generators fixing all earlier base points;
-    ``edges`` holds directed image arrays for the Schreier tree (the per-gen
-    pairs first, then extra tree elements added to keep the tree shallow);
-    ``sv`` is the Schreier vector (-1 root, -2 outside orbit, otherwise
-    ``2*t + d`` meaning the point was discovered applying ``edges[t][d]``).
-    ``processed[k]`` counts orbit points whose Schreier generator with
-    ``gens[k]`` has already been sifted; orbit order and generator lists only
-    ever append, so the counters stay valid across resumed verification.
+    the tree ``edges`` are the per-gen pairs first, then extra tree elements
+    added to keep the tree shallow.  ``processed[k]`` counts orbit points
+    whose Schreier generator with ``gens[k]`` has already been sifted; orbit
+    order and generator lists only ever append, so the counters stay valid
+    across resumed verification.
     """
 
-    __slots__ = ("beta", "gens", "edges", "sv", "depth", "orbit", "processed")
+    __slots__ = ("gens", "processed")
 
-    def __init__(self, beta: int, n: int):
-        self.beta = beta
+    def __init__(self, domain: Domain, root: int):
+        super().__init__(domain, root, [])
         self.gens: list[Permutation] = []
-        self.edges: list[tuple[np.ndarray, np.ndarray]] = []
-        self.sv = np.full(n, -2, dtype=np.int64)
-        self.sv[beta] = -1
-        self.depth = np.zeros(n, dtype=np.int32)
-        self.orbit: list[int] = [beta]
         self.processed: list[int] = []
+
+    def rebuild(self) -> None:
+        """Full BFS rebuild with the GAP-style shallow-tree rule: when a
+        point lands deeper than twice the tree size, promote its coset
+        representative to a tree generator and start over."""
+        self.edges = [_edge(g) for g in self.gens]
+        while True:
+            self.reset()
+            deep_point = self.grow(limit=2 * max(len(self.edges), 1))
+            if deep_point is None:
+                return
+            u = Permutation(self.domain, self.image(deep_point), _validate=False)
+            self.edges.append(_edge(u))
+
+    def extend(self, first_new_gen: int) -> None:
+        """Incremental BFS after appending generators (the orbit only grows;
+        existing Schreier vector entries stay valid).  The new edges go over
+        the whole orbit first, points found on the way included; then every
+        edge goes over the points found, in discovery order.  That order
+        decides which Schreier generators are sifted first, so the strong
+        generators depend on it."""
+        old_len, first_new_edge = len(self.orbit), len(self.edges)
+        self.edges.extend(_edge(g) for g in self.gens[first_new_gen:])
+        self.grow(0, first_new_edge)
+        self.grow(old_len)
 
 
 class StabChain:
@@ -331,7 +374,7 @@ class StabChain:
         base_prefix: Sequence[int] = (),
         target_order: int | None = None,
     ) -> "StabChain":
-        chain = cls(domain, [_Level(b, domain.size) for b in base_prefix])
+        chain = cls(domain, [_Level(domain, b) for b in base_prefix])
         seeds = []
         seen = set()
         for g in gens:
@@ -344,7 +387,7 @@ class StabChain:
         for g in seeds:
             chain._insert_gen(g, 0)
         for lvl in chain.levels:
-            chain._rebuild_orbit(lvl)
+            lvl.rebuild()
         if target_order is not None and chain.order == target_order:
             return chain
         i = len(chain.levels) - 1
@@ -360,7 +403,7 @@ class StabChain:
 
     @property
     def base(self) -> list[int]:
-        return [lvl.beta for lvl in self.levels]
+        return [lvl.root for lvl in self.levels]
 
     @property
     def order(self) -> int:
@@ -393,50 +436,14 @@ class StabChain:
         img = p.image
         for k in range(start, len(self.levels)):
             lvl = self.levels[k]
-            delta = int(img[lvl.beta])
-            if delta == lvl.beta:
+            delta = int(img[lvl.root])
+            if delta == lvl.root:
                 continue
             if lvl.sv[delta] == -2:
                 res = Permutation(self.domain, img, _validate=False)
                 return res, k
-            img = self._strip(lvl, delta, img)
+            img = lvl.strip(delta, img)
         return Permutation(self.domain, img, _validate=False), len(self.levels)
-
-    @staticmethod
-    def _strip(lvl: _Level, delta: int, img: np.ndarray) -> np.ndarray:
-        """Multiply img on the right by the inverse transversal rep of delta."""
-        while delta != lvl.beta:
-            t, d = divmod(int(lvl.sv[delta]), 2)
-            undo = lvl.edges[t][1 - d]
-            img = undo[img]
-            delta = int(undo[delta])
-        return img
-
-    def _transversal_image(self, lvl: _Level, point: int) -> np.ndarray:
-        """Image array of the coset representative u with beta^u = point."""
-        codes = []
-        p = point
-        while p != lvl.beta:
-            code = int(lvl.sv[p])
-            codes.append(code)
-            t, d = divmod(code, 2)
-            p = int(lvl.edges[t][1 - d][p])
-        img = self.domain._arange
-        for code in reversed(codes):
-            t, d = divmod(code, 2)
-            img = lvl.edges[t][d][img]
-        return img
-
-    def transversal_element(self, k: int, point: int) -> Permutation:
-        lvl = self.levels[k]
-        if lvl.sv[point] == -2:
-            raise ValueError(f"point {point} is not in the fundamental orbit")
-        img = self._transversal_image(lvl, point)
-        if img is self.domain._arange:
-            return self.domain.identity()
-        img = img.copy()
-        img.setflags(write=False)
-        return Permutation(self.domain, img, _validate=False)
 
     # -- internals ----------------------------------------------------------
 
@@ -447,88 +454,17 @@ class StabChain:
         img = g.image
         j = None
         for k in range(lo, len(self.levels)):
-            if img[self.levels[k].beta] != self.levels[k].beta:
+            if img[self.levels[k].root] != self.levels[k].root:
                 j = k
                 break
         if j is None:
-            beta = g.smallest_moved_point()
-            self.levels.append(_Level(beta, self.domain.size))
+            self.levels.append(_Level(self.domain, g.smallest_moved_point()))
             j = len(self.levels) - 1
         for k in range(lo, j + 1):
             lvl = self.levels[k]
             lvl.gens.append(g)
             lvl.processed.append(0)
         return j
-
-    def _rebuild_orbit(self, lvl: _Level) -> None:
-        """Full BFS rebuild with the GAP-style shallow-tree rule: when a
-        point lands deeper than twice the tree size, promote its coset
-        representative to a tree generator and start over."""
-        lvl.edges = [(g.image, g.inverse().image) for g in lvl.gens]
-        n = self.domain.size
-        while True:
-            lvl.sv = np.full(n, -2, dtype=np.int64)
-            lvl.sv[lvl.beta] = -1
-            lvl.depth = np.zeros(n, dtype=np.int32)
-            lvl.orbit = [lvl.beta]
-            deep_point = None
-            pos = 0
-            limit = 2 * max(len(lvl.edges), 1)
-            while pos < len(lvl.orbit) and deep_point is None:
-                a = lvl.orbit[pos]
-                pos += 1
-                da = int(lvl.depth[a])
-                for t, (img, inv) in enumerate(lvl.edges):
-                    for d, arr in ((0, img), (1, inv)):
-                        b = int(arr[a])
-                        if lvl.sv[b] == -2:
-                            lvl.sv[b] = 2 * t + d
-                            lvl.depth[b] = da + 1
-                            lvl.orbit.append(b)
-                            if da + 1 > limit:
-                                deep_point = b
-                                break
-                    if deep_point is not None:
-                        break
-            if deep_point is None:
-                return
-            u = self._transversal_image(lvl, deep_point)
-            u = u.copy()
-            u_inv = np.empty(n, dtype=np.int32)
-            u_inv[u] = self.domain._arange
-            lvl.edges.append((u, u_inv))
-
-    def _extend_orbit(self, lvl: _Level, first_new_gen: int) -> None:
-        """Incremental BFS after appending generators (orbit only grows;
-        existing Schreier vector entries stay valid)."""
-        new_edges = [(g.image, g.inverse().image) for g in lvl.gens[first_new_gen:]]
-        base_t = len(lvl.edges)
-        lvl.edges.extend(new_edges)
-        frontier = []
-        for a in lvl.orbit:
-            da = int(lvl.depth[a])
-            for t_off, (img, inv) in enumerate(new_edges):
-                t = base_t + t_off
-                for d, arr in ((0, img), (1, inv)):
-                    b = int(arr[a])
-                    if lvl.sv[b] == -2:
-                        lvl.sv[b] = 2 * t + d
-                        lvl.depth[b] = da + 1
-                        lvl.orbit.append(b)
-                        frontier.append(b)
-        pos = 0
-        while pos < len(frontier):
-            a = frontier[pos]
-            pos += 1
-            da = int(lvl.depth[a])
-            for t, (img, inv) in enumerate(lvl.edges):
-                for d, arr in ((0, img), (1, inv)):
-                    b = int(arr[a])
-                    if lvl.sv[b] == -2:
-                        lvl.sv[b] = 2 * t + d
-                        lvl.depth[b] = da + 1
-                        lvl.orbit.append(b)
-                        frontier.append(b)
 
     def _verify_level(self, i: int, target_order: int | None) -> int | None:
         """Sift the pending Schreier generators of level i.
@@ -546,10 +482,8 @@ class StabChain:
                 delta = lvl.orbit[pos]
                 pos += 1
                 lvl.processed[gi] = pos
-                u_img = self._transversal_image(lvl, delta)
-                h_img = s_img[u_img]  # u then s
-                new_delta = int(h_img[lvl.beta])
-                h_img = self._strip(lvl, new_delta, h_img)
+                h_img = s_img[lvl.image(delta)]  # u then s
+                h_img = lvl.strip(int(h_img[lvl.root]), h_img)
                 residue, fail = self.sift(
                     Permutation(self.domain, h_img, _validate=False), i + 1
                 )
@@ -566,9 +500,9 @@ class StabChain:
         for k in range(lo, j + 1):
             lvl = self.levels[k]
             if len(lvl.edges) == 0 and len(lvl.gens) == 1:
-                self._rebuild_orbit(lvl)
+                lvl.rebuild()
             else:
-                self._extend_orbit(lvl, len(lvl.gens) - 1)
+                lvl.extend(len(lvl.gens) - 1)
         return j
 
 
@@ -617,15 +551,9 @@ class PermGroup:
         residue, k = self.chain.sift(p)
         return k == len(self.chain.levels) and residue.is_identity()
 
-    def base(self) -> list[int]:
-        return self.chain.base
-
-    def strong_generators(self) -> list[Permutation]:
-        return self.chain.strong_generators() or list(self.generators)
-
     # -- orbits ---------------------------------------------------------------
 
-    def orbit_of(self, point: int) -> OrbitTransversal:
+    def orbit_of(self, point: int) -> SchreierTree:
         gens = self.generators if self.generators else (self.domain.identity(),)
         return orbit(gens, point)
 
@@ -650,7 +578,7 @@ class PermGroup:
         if all(g.image[point] == point for g in self.generators):
             return self
         chain = self.chain
-        if chain.levels and chain.levels[0].beta == point:
+        if chain.levels and chain.levels[0].root == point:
             sub = chain.suffix(1)
             gens = sub.levels[0].gens if sub.levels else []
             return PermGroup(self.domain, gens, _chain=sub)
@@ -685,7 +613,7 @@ class PermGroup:
             lvl = chain.levels[k]
             for h in walk(k + 1):
                 for delta in lvl.orbit:
-                    yield h * chain.transversal_element(k, delta)
+                    yield h * Permutation(self.domain, lvl.image(delta), _validate=False)
 
         return walk(0)
 
@@ -788,10 +716,7 @@ def minimal_block(group: PermGroup, a: int, b: int) -> list[list[int]]:
 
     merged = union(a, b)
     queue = [merged] if merged is not None else []
-    images = []
-    for g in group.generators:
-        images.append(g.image)
-        images.append(g.inverse().image)
+    images = [arr for g in group.generators for arr in _edge(g)]
     while queue:
         gamma = queue.pop()
         rho = find(gamma)

@@ -61,7 +61,10 @@ class ResourceGuard:
         raw = os.environ.get(ENV_MAX_POINTS)
         if raw is None:
             return cls()
-        return cls(max_points=int(raw))
+        try:
+            return cls(max_points=int(raw))
+        except ValueError:
+            raise ValueError(f"{ENV_MAX_POINTS} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,14 @@ class GroupSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupSpec":
+        """Parse the JSON form; malformed input raises KeyError, TypeError or
+        ValueError."""
+        params = data["params"]
+        if not isinstance(params, dict):
+            raise TypeError(f"params must be a JSON object, got {type(params).__name__}")
         return cls(
             family=data["family"],
-            params=tuple(sorted((str(k), int(v)) for k, v in data["params"].items())),
+            params=tuple(sorted((str(k), int(v)) for k, v in params.items())),
             extended=bool(data["extended"]),
             action=data["action"],
             expected_lengths=tuple(int(x) for x in data.get("expected_lengths", [])),

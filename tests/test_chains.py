@@ -126,6 +126,16 @@ def test_min_max_consistent_with_lengths():
         assert report.max_length == max_irredundant_length(g)[0]
 
 
+def test_cut_searches_return_the_full_traversal_witnesses():
+    # min_base_length and max_irredundant_length prune the traversal that
+    # achievable_lengths runs uncut; a sound cut keeps its first witness
+    groups = structured_small_groups() + random_small_groups(40, seed=7)
+    for name, g in groups:
+        report = achievable_lengths(g)
+        assert min_base_length(g) == (report.min_length, report.witnesses[report.min_length]), name
+        assert max_irredundant_length(g) == (report.max_length, report.witnesses[report.max_length]), name
+
+
 # -- pruned search vs exhaustive oracle ---------------------------------------------
 
 def test_pruned_search_matches_oracle_structured():

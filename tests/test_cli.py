@@ -47,6 +47,14 @@ def test_realize_guard_refusal_exit_code(capsys):
     assert "guard_refused" in data
 
 
+def test_realize_malformed_guard_env(capsys, monkeypatch):
+    monkeypatch.setenv("IRRBASE_MAX_POINTS", "abc")
+    code, out, err = run_cli(capsys, "realize", "--min", "3", "--max", "3", "--instantiate")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "IRRBASE_MAX_POINTS" in err
+
+
 def test_realize_invalid_interval(capsys):
     code, _, err = run_cli(capsys, "realize", "--min", "1", "--max", "3")
     assert code == EXIT_INVALID
@@ -129,12 +137,14 @@ def test_analyze_unknown_family(tmp_path, capsys):
 
 def test_analyze_invalid_params(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        '{"family": "suzuki", "params": {"m": 0}, "extended": false,'
-        ' "action": "pairs", "expected_lengths": [2, 3]}'
-    )
-    code, _, err = run_cli(capsys, "analyze", "--spec", str(bad))
-    assert code == EXIT_INVALID
+    for params, message in (('{"m": 0}', "error"), ('[["m", 1]]', "cannot read group spec")):
+        bad.write_text(
+            '{"family": "suzuki", "params": ' + params + ', "extended": false,'
+            ' "action": "pairs", "expected_lengths": [2, 3]}'
+        )
+        code, _, err = run_cli(capsys, "analyze", "--spec", str(bad))
+        assert code == EXIT_INVALID, params
+        assert message in err, params
 
 
 def test_analyze_bad_chain_points(tmp_path, capsys):

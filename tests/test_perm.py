@@ -83,17 +83,17 @@ def test_pow_matches_repeated_product(pi, e):
 def test_orbit_identity_generators():
     d = integers(6)
     ot = orbit([d.identity()], 2)
-    assert ot.points == [2]
+    assert ot.orbit == [2]
 
 
 def test_orbit_cycle_transitive():
     d = integers(5)
     c = d.perm_from_cycles([0, 1, 2, 3, 4])
     ot = orbit([c], 0)
-    assert sorted(ot.points) == [0, 1, 2, 3, 4]
-    for pt in ot.points:
-        u = ot.transversal(pt)
-        assert u(0) == pt
+    assert sorted(ot.orbit) == [0, 1, 2, 3, 4]
+    for pt in ot.orbit:
+        u = ot.image(pt)
+        assert u[0] == pt
 
 
 def test_orbit_partition_covers_domain():
