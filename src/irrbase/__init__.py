@@ -17,7 +17,7 @@ from .chains import (
     max_irredundant_length,
     min_base_length,
 )
-from .gf import FieldAutomorphism, FieldElement, FieldSpec
+from .gf import FieldSpec
 from .perm import Domain, PermGroup, Permutation, symmetric_natural
 from .realize import (
     GroupSpec,
@@ -33,8 +33,6 @@ __all__ = [
     "BaseSequence",
     "ChainReport",
     "Domain",
-    "FieldAutomorphism",
-    "FieldElement",
     "FieldSpec",
     "GroupSpec",
     "GuardExceededError",

@@ -113,7 +113,7 @@ class AffineSpace:
     def standard_generators(self, extended: bool = False) -> list[Permutation]:
         d = self.params.d
         fld = self.field
-        mu = subfield_generator(fld, self.params.f).value
+        mu = subfield_generator(fld, self.params.f)
         gens = []
         for i in range(d):
             e = [0] * d
@@ -190,7 +190,7 @@ def linear_frame_base(space: AffineSpace) -> list[int]:
     listed vector (see semilinear_min_base).
     """
     d = space.params.d
-    mu = subfield_generator(space.field, space.params.f).value
+    mu = subfield_generator(space.field, space.params.f)
     if d == 1:
         vecs = [(0,), (mu,)]
     else:
@@ -215,7 +215,7 @@ def semilinear_min_base(space: AffineSpace) -> list[int]:
     base = linear_frame_base(space)
     if space.params.f == 1:
         return base
-    mu = subfield_generator(space.field, space.params.f).value
+    mu = subfield_generator(space.field, space.params.f)
     if d == 1:
         extra = (space.field.mul_enc(mu, mu),)
     else:
@@ -238,6 +238,6 @@ def semilinear_max_base(space: AffineSpace) -> list[int]:
     deg = 1
     for pfac in prime_factors(space.params.f):
         deg *= pfac
-        zeta = subfield_generator(space.field, deg).value
+        zeta = subfield_generator(space.field, deg)
         vecs.append(_basis_vector(d, 0, zeta))
     return [space.vector_index(v) for v in vecs]

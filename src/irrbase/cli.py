@@ -183,6 +183,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verification.run_checks(level=args.level, only=args.only)
+    if not results:
+        sys.stderr.write(f"error: no check at level {args.level!r} matches --only {args.only!r}\n")
+        return EXIT_INVALID
     all_ok = all(r["ok"] for r in results)
     if args.json:
         sys.stdout.write(_dump({"level": args.level, "checks": results, "ok": all_ok}))

@@ -1,10 +1,11 @@
 """Exact arithmetic in GF(p^f).
 
 Elements are residue classes of GF(p)[x] modulo a fixed monic irreducible
-polynomial of degree f.  An element is stored as its integer encoding
-sum(c_i * p**i) of the reduced coefficient vector (c_0, ..., c_{f-1}); the
-encoding doubles as the canonical ordering used everywhere else in the
-package (domain indexing, tie-breaking, witness determinism).
+polynomial of degree f.  An element is always a plain int: the encoding
+sum(c_i * p**i) of its reduced coefficient vector (c_0, ..., c_{f-1}).
+All arithmetic goes through the ``*_enc`` methods of :class:`FieldSpec`,
+and the encoding doubles as the canonical ordering used everywhere else in
+the package (domain indexing, tie-breaking, witness determinism).
 
 Unless a modulus is given explicitly, each (p, f) gets the lexicographically
 smallest monic irreducible polynomial, comparing coefficient vectors
@@ -14,14 +15,9 @@ every downstream computation is reproducible.
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .ntheory import distinct_prime_factors, is_prime
-
-
-class FieldMismatchError(ValueError):
-    """Raised when elements of different field models are combined."""
 
 
 # --------------------------------------------------------------------------
@@ -129,12 +125,13 @@ _TABLE_LIMIT = 1 << 16
 class FieldSpec:
     """A concrete model of GF(p^f): characteristic, degree and modulus.
 
-    All element-level operations are available both on integer encodings
-    (``add_enc``, ``mul_enc``, ...) and through the :class:`FieldElement`
-    wrapper.  Instances are immutable and compare by (p, f, modulus).
+    Elements are integer encodings in ``range(order)``; ``add_enc``,
+    ``mul_enc``, ``inv_enc``, ``pow_enc`` and ``frobenius_enc`` take and
+    return encodings.  ``digits`` and ``encode`` convert between an encoding
+    and its coefficient vector.
     """
 
-    __slots__ = ("p", "f", "order", "modulus", "_exp", "_log", "_frob1", "_hash")
+    __slots__ = ("p", "f", "order", "modulus", "_exp", "_log", "_frob1")
 
     def __init__(self, p: int, f: int, modulus: Sequence[int] | None = None):
         if not is_prime(p):
@@ -152,7 +149,6 @@ class FieldSpec:
         self.f = f
         self.order = p**f
         self.modulus = modulus
-        self._hash = hash((p, f, modulus))
         if self.order <= _TABLE_LIMIT:
             self._build_log_tables()
         else:
@@ -193,19 +189,6 @@ class FieldSpec:
             b //= self.p
             shift *= self.p
         return val
-
-    def neg_enc(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        val, shift = 0, 1
-        for _ in range(self.f):
-            val += ((-a) % self.p) * shift
-            a //= self.p
-            shift *= self.p
-        return val
-
-    def sub_enc(self, a: int, b: int) -> int:
-        return self.add_enc(a, self.neg_enc(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
         prod = _poly_mulmod(self.digits(a), self.digits(b), self.modulus, self.p)
@@ -273,205 +256,13 @@ class FieldSpec:
             a = self._frob1[a]
         return a
 
-    # -- element-level API ----------------------------------------------------
-
-    def element(self, value: int | Sequence[int]) -> "FieldElement":
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise ValueError(f"encoding {value} out of range for GF({self.order})")
-            return FieldElement(self, value)
-        return FieldElement(self, self.encode(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def x(self) -> "FieldElement":
-        """The residue class of the indeterminate (encoding p)."""
-        if self.f == 1:
-            raise ValueError("prime field has no extension generator x")
-        return FieldElement(self, self.p)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        return (FieldElement(self, v) for v in range(self.order))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.f == other.f
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, f={self.f}, modulus={list(self.modulus)})"
 
 
-class FieldElement:
-    """An element of a :class:`FieldSpec`, stored by integer encoding.
-
-    Immutable; all operators are pure and require both operands to share
-    the same field model.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value: int):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError("elements belong to different field models")
-        return other
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.digits(self.value)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.add_enc(self.value, other.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.sub_enc(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg_enc(self.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_enc(self.value, other.value))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_enc(self.value, self.field.inv_enc(other.value)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow_enc(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_enc(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.order}):{self.value}"
-
-
-class FieldAutomorphism:
-    """The automorphism x -> x**(p**k) of a field model, 0 <= k < f.
-
-    Composition adds exponents mod f; the full automorphism group is cyclic
-    of order f, generated by k=1.
-    """
-
-    __slots__ = ("field", "k")
-
-    def __init__(self, field: FieldSpec, k: int):
-        self.field = field
-        self.k = k % field.f
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        if x.field != self.field:
-            raise FieldMismatchError("element belongs to a different field model")
-        return FieldElement(self.field, self.field.frobenius_enc(x.value, self.k))
-
-    def compose(self, other: "FieldAutomorphism") -> "FieldAutomorphism":
-        if other.field != self.field:
-            raise FieldMismatchError("automorphisms of different field models")
-        return FieldAutomorphism(self.field, self.k + other.k)
-
-    def __mul__(self, other: "FieldAutomorphism") -> "FieldAutomorphism":
-        return self.compose(other)
-
-    @property
-    def order(self) -> int:
-        return self.field.f // math.gcd(self.field.f, self.k)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldAutomorphism)
-            and self.field == other.field
-            and self.k == other.k
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.k))
-
-    def __repr__(self) -> str:
-        return f"Frobenius^{self.k} on GF({self.field.order})"
-
-
-# --------------------------------------------------------------------------
-# named operations
-# --------------------------------------------------------------------------
-
-def arith(a: FieldElement, b: FieldElement | None, op: str) -> FieldElement:
-    """Dispatch add | mul | inv on field elements (inv ignores b)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def frobenius_power(x: FieldElement, k: int) -> FieldElement:
-    """x**(p**k); an additive and multiplicative homomorphism."""
-    return FieldElement(x.field, x.field.frobenius_enc(x.value, k))
-
-
-def suzuki_automorphism(x: FieldElement) -> FieldElement:
-    """The twisting automorphism x -> x**(2**(m+1)) of GF(2**(2m+1)).
-
-    Applying it twice squares the argument.  Requires characteristic 2 and
-    odd extension degree.
-    """
-    field = x.field
-    if field.p != 2 or field.f % 2 == 0 or field.f < 1:
-        raise ValueError("requires GF(2^f) with f odd")
-    m = (field.f - 1) // 2
-    return FieldElement(field, field.frobenius_enc(x.value, m + 1))
-
-
-def multiplicative_order(x: FieldElement) -> int:
-    """Exact order of x in the multiplicative group."""
-    if x.value == 0:
-        raise ValueError("0 has no multiplicative order")
-    n = x.field.order - 1
-    order = n
-    for ell in distinct_prime_factors(n):
-        while order % ell == 0 and x.field.pow_enc(x.value, order // ell) == 1:
-            order //= ell
-    return order
-
-
-def subfield_generator(spec: FieldSpec, k: int) -> FieldElement:
-    """A generator of the multiplicative group of the order-p^k subfield.
+def subfield_generator(spec: FieldSpec, k: int) -> int:
+    """The encoding of a generator of the multiplicative group of the
+    order-p^k subfield.
 
     Deterministic: among all elements of multiplicative order p^k - 1, the
     one with the smallest integer encoding is returned.  Requires k | f.
@@ -480,11 +271,11 @@ def subfield_generator(spec: FieldSpec, k: int) -> FieldElement:
         raise ValueError(f"subfield degree {k} does not divide {spec.f}")
     target = spec.p**k - 1
     if target == 1:
-        return spec.one
+        return 1
     ell_factors = distinct_prime_factors(target)
     for v in range(2, spec.order):
         if spec.pow_enc(v, target) != 1:
             continue
         if all(spec.pow_enc(v, target // ell) != 1 for ell in ell_factors):
-            return FieldElement(spec, v)
+            return v
     raise RuntimeError(f"no element of order {target} found (invalid field model?)")

@@ -116,18 +116,6 @@ class Permutation:
             self._inv = p
         return self._inv
 
-    def __pow__(self, e: int) -> "Permutation":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.domain.identity()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def is_identity(self) -> bool:
         return bool((self.image == self.domain._arange).all())
 
@@ -541,9 +529,6 @@ class PermGroup:
     @property
     def order(self) -> int:
         return self.chain.order
-
-    def is_trivial(self) -> bool:
-        return len(self.generators) == 0
 
     def __contains__(self, p: Permutation) -> bool:
         if p.domain is not self.domain:

@@ -30,6 +30,9 @@ from .suzuki import SuzukiParams, build_suzuki_group
 
 ENV_MAX_POINTS = "IRRBASE_MAX_POINTS"
 
+# The actions each family is built on; instantiate rejects any other pairing.
+ACTIONS = {"symmetric": ("natural",), "suzuki": ("delta", "pairs"), "affine": ("vectors",)}
+
 
 class UnsupportedIntervalError(ValueError):
     """The requested interval is outside the construction's hypotheses."""
@@ -74,7 +77,7 @@ class GroupSpec:
     family: str  # "symmetric" | "suzuki" | "affine"
     params: tuple[tuple[str, int], ...]
     extended: bool
-    action: str  # "natural" | "pairs" | "vectors"
+    action: str  # one of ACTIONS[family]
     expected_lengths: tuple[int, ...]
 
     def param(self, key: str) -> int:
@@ -99,6 +102,9 @@ class GroupSpec:
         params = data["params"]
         if not isinstance(params, dict):
             raise TypeError(f"params must be a JSON object, got {type(params).__name__}")
+        for key in ("family", "action"):
+            if not isinstance(data[key], str):
+                raise TypeError(f"{key} must be a JSON string, got {type(data[key]).__name__}")
         return cls(
             family=data["family"],
             params=tuple(sorted((str(k), int(v)) for k, v in params.items())),
@@ -106,13 +112,6 @@ class GroupSpec:
             action=data["action"],
             expected_lengths=tuple(int(x) for x in data.get("expected_lengths", [])),
         )
-
-
-def _product(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def witness_spec(a: int, b: int, explicit_f: int | None = None) -> GroupSpec:
@@ -135,7 +134,7 @@ def witness_spec(a: int, b: int, explicit_f: int | None = None) -> GroupSpec:
         if b == 3 and explicit_f is None:
             return GroupSpec("suzuki", (("m", 1),), False, "pairs", expected)
         k = b - 3
-        f = explicit_f if explicit_f is not None else _product(first_primes(k, odd_only=True))
+        f = explicit_f if explicit_f is not None else math.prod(first_primes(k, odd_only=True))
         if f % 2 == 0 or f < 3:
             raise UnsupportedIntervalError(f"field degree must be odd and >= 3, got {f}")
         if prime_factor_count(f) != k:
@@ -146,7 +145,7 @@ def witness_spec(a: int, b: int, explicit_f: int | None = None) -> GroupSpec:
     # a >= 3: affine semilinear witness with minimum a = d + 2
     d = a - 2
     k = b - a + 1
-    f = explicit_f if explicit_f is not None else _product(first_primes(k))
+    f = explicit_f if explicit_f is not None else math.prod(first_primes(k))
     if prime_factor_count(f) != k:
         raise UnsupportedIntervalError(
             f"field degree {f} has {prime_factor_count(f)} prime factors, need {k}"
@@ -208,6 +207,14 @@ def check_guard(spec: GroupSpec, guard: ResourceGuard) -> None:
 def instantiate(spec: GroupSpec, guard: ResourceGuard | None = None) -> tuple[PermGroup, Domain]:
     """Build the witness group, or refuse with a GuardExceededError carrying
     the estimated sizes (the spec itself remains valid output)."""
+    allowed = ACTIONS.get(spec.family)
+    if allowed is None:
+        raise ValueError(f"unknown family {spec.family!r}")
+    if spec.action not in allowed:
+        raise ValueError(
+            f"action {spec.action!r} does not fit family {spec.family!r} "
+            f"(expected {' or '.join(map(repr, allowed))})"
+        )
     guard = guard if guard is not None else ResourceGuard.from_env()
     check_guard(spec, guard)
     if spec.family == "symmetric":
@@ -215,15 +222,11 @@ def instantiate(spec: GroupSpec, guard: ResourceGuard | None = None) -> tuple[Pe
         return group, group.domain
     if spec.family == "suzuki":
         act = build_suzuki_group(
-            SuzukiParams(m=spec.param("m")),
-            extended=spec.extended,
-            action="pairs" if spec.action == "pairs" else "delta",
+            SuzukiParams(m=spec.param("m")), extended=spec.extended, action=spec.action
         )
         return act.group, act.domain
-    if spec.family == "affine":
-        aff = build_affine_group(
-            AffineParams(d=spec.param("d"), p=spec.param("p"), f=spec.param("f")),
-            extended=spec.extended,
-        )
-        return aff.group, aff.domain
-    raise ValueError(f"unknown family {spec.family!r}")
+    aff = build_affine_group(
+        AffineParams(d=spec.param("d"), p=spec.param("p"), f=spec.param("f")),
+        extended=spec.extended,
+    )
+    return aff.group, aff.domain

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldElement, FieldSpec, subfield_generator
+from .gf import FieldSpec, subfield_generator
 from .ntheory import prime_factors
-from .perm import Domain, PairDomain, PermGroup, Permutation, induced_pair_action, pair_domain
+from .perm import Domain, PermGroup, Permutation, induced_pair_action, pair_domain
 
 INFINITY = "inf"
 
@@ -87,21 +87,14 @@ class SuzukiOvoid:
 
     # -- helpers -------------------------------------------------------------
 
-    def _enc(self, x) -> int:
-        if isinstance(x, FieldElement):
-            if x.field != self.field:
-                raise ValueError("element from a different field model")
-            return x.value
-        return int(x)
-
     def _sigma(self, v: int) -> int:
         return self.field.frobenius_enc(v, self._sig_k)
 
-    def point_index(self, e1, e2) -> int:
+    def point_index(self, e1: int, e2: int) -> int:
         """Index of the finite ovoid point with first two coordinates."""
-        return 1 + self._enc(e1) * self.params.q + self._enc(e2)
+        return 1 + e1 * self.params.q + e2
 
-    def point_label(self, e1, e2) -> tuple[int, int, int]:
+    def point_label(self, e1: int, e2: int) -> tuple[int, int, int]:
         return self.domain.labels[self.point_index(e1, e2)]
 
     def _finish(self, image: list[int], name: str) -> Permutation:
@@ -121,7 +114,7 @@ class SuzukiOvoid:
 
     # -- generators ------------------------------------------------------------
 
-    def translation(self, a, b) -> Permutation:
+    def translation(self, a: int, b: int) -> Permutation:
         """The translation indexed by (a, b): fixes infinity and sends
 
             h1 -> h1 + a
@@ -129,8 +122,6 @@ class SuzukiOvoid:
             h3 -> h3 + a*b + a^(s+2) + s(b) + a*h2 + a^(s+1)*h1 + b*h1
         """
         fld = self.field
-        a = self._enc(a)
-        b = self._enc(b)
         sa = self._sigma(a)
         sb = self._sigma(b)
         a_sq = fld.mul_enc(a, a)
@@ -145,10 +136,9 @@ class SuzukiOvoid:
             image.append(self._checked_finite_image(n1, n2, n3, "translation"))
         return self._finish(image, "translation")
 
-    def diagonal(self, c) -> Permutation:
+    def diagonal(self, c: int) -> Permutation:
         """The scaling by c != 0: (h1, h2, h3) -> (c*h1, c^(s+1)*h2, c^(s+2)*h3)."""
         fld = self.field
-        c = self._enc(c)
         if c == 0:
             raise ValueError("diagonal scaling requires a nonzero scalar")
         sc = self._sigma(c)
@@ -206,25 +196,16 @@ class SuzukiOvoid:
     def standard_generators(self, extended: bool = False) -> list[Permutation]:
         """Small generating set: two translations, a primitive scaling, the
         involution, plus the Frobenius permutation when extended."""
-        one = self.field.one
-        zero = self.field.zero
         mu = subfield_generator(self.field, self.params.f)
         gens = [
-            self.translation(one, zero),
-            self.translation(zero, one),
+            self.translation(1, 0),
+            self.translation(0, 1),
             self.diagonal(mu),
             self.involution(),
         ]
         if extended:
             gens.append(self.frobenius_perm(1))
         return gens
-
-    def all_translations(self) -> list[Permutation]:
-        q = self.params.q
-        return [self.translation(a, b) for a in range(q) for b in range(q)]
-
-    def all_diagonals(self) -> list[Permutation]:
-        return [self.diagonal(c) for c in range(1, self.params.q)]
 
 
 @dataclass
@@ -237,11 +218,6 @@ class SuzukiAction:
     ovoid: SuzukiOvoid
     domain: Domain
     group: PermGroup
-
-    def pair_index(self, left_idx: int, right_idx: int) -> int:
-        if not isinstance(self.domain, PairDomain):
-            raise ValueError("not a pair action")
-        return self.domain.pair_index(left_idx, right_idx)
 
 
 _OVOID_CACHE: dict[int, SuzukiOvoid] = {}
@@ -295,7 +271,7 @@ def witness_points(params: SuzukiParams, extended: bool = False) -> list[tuple]:
         for p in prime_factors(params.f):
             deg *= p
             zeta = subfield_generator(fld, deg)
-            seq.append((ovoid.point_label(zeta.value, 0), inf))
+            seq.append((ovoid.point_label(zeta, 0), inf))
     return seq
 
 

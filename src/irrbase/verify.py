@@ -104,15 +104,11 @@ def search_corpus() -> list[tuple[str, PermGroup]]:
 # individual checks
 # --------------------------------------------------------------------------
 
-def _expect(ok: bool, detail: str) -> tuple[bool, str]:
-    return ok, detail
-
-
 def check_suzuki_orders() -> tuple[bool, str]:
     act = build_suzuki_group(SuzukiParams(1), extended=False, action="delta")
     ext = build_suzuki_group(SuzukiParams(1), extended=True, action="delta")
     ok = act.domain.size == 65 and act.group.order == 29120 and ext.group.order == 87360
-    return _expect(
+    return (
         ok,
         f"|ovoid|={act.domain.size}, |Sz(8)|={act.group.order}, extended={ext.group.order}",
     )
@@ -129,21 +125,21 @@ def check_suzuki_double_transitivity() -> tuple[bool, str]:
     distinct = [i * n + j for i in range(n) for j in range(n) if i != j]
     orb = orbit(gens, distinct[0])
     ok = len(orb) == n * (n - 1)
-    return _expect(ok, f"ordered distinct pair orbit size {len(orb)} (expect {n*(n-1)})")
+    return ok, f"ordered distinct pair orbit size {len(orb)} (expect {n*(n-1)})"
 
 
 def check_suzuki_pair_interval() -> tuple[bool, str]:
     act = build_suzuki_group(SuzukiParams(1), extended=False, action="pairs")
     iv = achievable_lengths(act.group)
     ok = sorted(iv.lengths) == [2, 3] and iv.is_interval
-    return _expect(ok, f"lengths={sorted(iv.lengths)}")
+    return ok, f"lengths={sorted(iv.lengths)}"
 
 
 def check_suzuki_extended_interval() -> tuple[bool, str]:
     act = build_suzuki_group(SuzukiParams(1), extended=True, action="pairs")
     iv = achievable_lengths(act.group)
     ok = sorted(iv.lengths) == [2, 3, 4] and iv.is_interval
-    return _expect(ok, f"lengths={sorted(iv.lengths)}")
+    return ok, f"lengths={sorted(iv.lengths)}"
 
 
 def check_suzuki_reference_chain() -> tuple[bool, str]:
@@ -155,7 +151,7 @@ def check_suzuki_reference_chain() -> tuple[bool, str]:
     middle = list(fix2.elements())
     middle_ok = len(middle) == 2 and w_pair in middle
     ok = rep.orders == (29120, 14, 2, 1) and rep.is_irredundant_base and middle_ok
-    return _expect(
+    return (
         ok,
         f"chain orders={rep.orders}, pair-stabilizer order={rep.orders[1]}, "
         f"middle stabilizer = {{identity, involution}}: {middle_ok}",
@@ -166,7 +162,7 @@ def check_suzuki_ovoid_min_base() -> tuple[bool, str]:
     act = build_suzuki_group(SuzukiParams(1), extended=True, action="delta")
     b, wit = min_base_length(act.group)
     ok = b == 3 and is_irredundant_base(act.group, wit)
-    return _expect(ok, f"min base length {b} on the 65-point ovoid")
+    return ok, f"min base length {b} on the 65-point ovoid"
 
 
 def _affine_case(d: int, p: int, f: int, expect_plain: list[int], expect_ext: list[int]) -> tuple[bool, str]:
@@ -178,7 +174,7 @@ def _affine_case(d: int, p: int, f: int, expect_plain: list[int], expect_ext: li
     ok2 = ext.group.order == affine_group_order(params, True)
     iv2 = achievable_lengths(ext.group)
     ok = ok1 and ok2 and sorted(iv1.lengths) == expect_plain and sorted(iv2.lengths) == expect_ext
-    return _expect(
+    return (
         ok,
         f"plain lengths={sorted(iv1.lengths)} (expect {expect_plain}), "
         f"extended lengths={sorted(iv2.lengths)} (expect {expect_ext})",
@@ -200,13 +196,13 @@ def check_affine_d2_q8() -> tuple[bool, str]:
 def check_interval_property_quick() -> tuple[bool, str]:
     groups = random_small_groups(40, seed=_SEED + 1, max_points=7, max_order=None)
     bad = [name for name, g in groups if not achievable_lengths(g).is_interval]
-    return _expect(not bad, f"{len(groups)} random groups, interval violations: {bad}")
+    return not bad, f"{len(groups)} random groups, interval violations: {bad}"
 
 
 def check_interval_property_full() -> tuple[bool, str]:
     groups = random_small_groups(120, seed=_SEED + 2, max_points=8, max_order=None)
     bad = [name for name, g in groups if not achievable_lengths(g).is_interval]
-    return _expect(not bad, f"{len(groups)} random groups, interval violations: {bad}")
+    return not bad, f"{len(groups)} random groups, interval violations: {bad}"
 
 
 def check_realize_small() -> tuple[bool, str]:
@@ -218,7 +214,7 @@ def check_realize_small() -> tuple[bool, str]:
         got = sorted(achievable_lengths(group).lengths)
         ok = ok and got == list(range(a, b + 1))
         details.append(f"[{a},{b}]->{got}")
-    return _expect(ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
 def check_affine_d2_q64() -> tuple[bool, str]:
@@ -227,13 +223,13 @@ def check_affine_d2_q64() -> tuple[bool, str]:
     ok_order = act.group.order == affine_group_order(params, True)
     iv = achievable_lengths(act.group)
     ok = ok_order and sorted(iv.lengths) == [4, 5]
-    return _expect(ok, f"order ok={ok_order}, lengths={sorted(iv.lengths)} (expect [4, 5])")
+    return ok, f"order ok={ok_order}, lengths={sorted(iv.lengths)} (expect [4, 5])"
 
 
 def check_suzuki_pair_primitivity() -> tuple[bool, str]:
     act = build_suzuki_group(SuzukiParams(1), extended=False, action="pairs")
     prim = is_primitive(act.group)
-    return _expect(prim, f"pair action on {act.domain.size} points primitive: {prim}")
+    return prim, f"pair action on {act.domain.size} points primitive: {prim}"
 
 
 def check_suzuki_q32() -> tuple[bool, str]:
@@ -241,7 +237,7 @@ def check_suzuki_q32() -> tuple[bool, str]:
     order_ok = act.group.order == 5 * 1024 * 1025 * 31
     b, _ = min_base_length(act.group)
     ok = act.domain.size == 1025 and order_ok and b == 3
-    return _expect(ok, f"|ovoid|={act.domain.size}, order ok={order_ok}, ovoid min base={b}")
+    return ok, f"|ovoid|={act.domain.size}, order ok={order_ok}, ovoid min base={b}"
 
 
 def check_search_vs_exhaustive() -> tuple[bool, str]:
@@ -252,7 +248,7 @@ def check_search_vs_exhaustive() -> tuple[bool, str]:
         reference = exhaustive_lengths(group)
         if pruned != reference:
             bad.append(f"{name}: {sorted(pruned)} != {sorted(reference)}")
-    return _expect(not bad, f"{len(corpus)} corpus groups, discrepancies: {bad or 'none'}")
+    return not bad, f"{len(corpus)} corpus groups, discrepancies: {bad or 'none'}"
 
 
 REGISTRY: list[Check] = [

@@ -126,13 +126,14 @@ def test_analyze_missing_spec_file(capsys):
 
 def test_analyze_unknown_family(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        '{"family": "sporadic", "params": {"n": 5}, "extended": false,'
-        ' "action": "natural", "expected_lengths": []}'
-    )
-    code, _, err = run_cli(capsys, "analyze", "--spec", str(bad))
-    assert code == EXIT_INVALID
-    assert "invalid group spec" in err
+    for family, message in (('"sporadic"', "invalid group spec"), ('["affine"]', "cannot read group spec")):
+        bad.write_text(
+            '{"family": ' + family + ', "params": {"n": 5}, "extended": false,'
+            ' "action": "natural", "expected_lengths": []}'
+        )
+        code, _, err = run_cli(capsys, "analyze", "--spec", str(bad))
+        assert code == EXIT_INVALID, family
+        assert message in err, family
 
 
 def test_analyze_invalid_params(tmp_path, capsys):
@@ -174,3 +175,28 @@ def test_verify_json_output(capsys):
     data = json.loads(out)
     assert data["ok"] is True
     assert data["checks"][0]["name"] == "realize-small-roundtrip"
+
+
+def test_analyze_action_must_fit_family(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for family, params, action in (
+        ("affine", '{"d": 2, "f": 2, "p": 2}', "pairs"),
+        ("symmetric", '{"n": 4}', "vectors"),
+        ("suzuki", '{"m": 1}', "natural"),
+    ):
+        bad.write_text(
+            f'{{"family": "{family}", "params": {params}, "extended": false,'
+            f' "action": "{action}", "expected_lengths": []}}'
+        )
+        code, out, err = run_cli(capsys, "analyze", "--spec", str(bad))
+        assert code == EXIT_INVALID, family
+        assert out == "", family
+        assert f"action {action!r} does not fit family {family!r}" in err, family
+
+
+def test_verify_only_matching_nothing_is_invalid(capsys):
+    for level, only in (("quick", "suzki"), ("quick", "q64"), ("full", "suzki")):
+        code, out, err = run_cli(capsys, "verify-paper", "--level", level, "--only", only)
+        assert code == EXIT_INVALID, (level, only)
+        assert out == ""
+        assert repr(only) in err and repr(level) in err
