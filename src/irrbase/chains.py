@@ -120,11 +120,10 @@ class _MatrixNode:
     array operations.
     """
 
-    __slots__ = ("mat", "_arange", "_reps", "_sizes")
+    __slots__ = ("mat", "_reps", "_sizes")
 
-    def __init__(self, mat: np.ndarray, arange: np.ndarray):
+    def __init__(self, mat: np.ndarray):
         self.mat = mat
-        self._arange = arange
         self._reps = None
         self._sizes = None
 
@@ -134,11 +133,10 @@ class _MatrixNode:
 
     def _orbit_data(self):
         if self._reps is None:
-            moved = (self.mat != self._arange).any(axis=0)
-            mins = self.mat.min(axis=0)
-            reps, counts = np.unique(mins[moved], return_counts=True)
-            self._reps = reps.tolist()
-            self._sizes = counts.tolist()
+            # a column's minimum is its orbit's; only a fixed point's is unshared
+            reps, counts = np.unique(self.mat.min(axis=0), return_counts=True)
+            self._reps = reps[counts > 1].tolist()
+            self._sizes = counts[counts > 1].tolist()
         return self._reps, self._sizes
 
     def reps(self) -> list[int]:
@@ -150,7 +148,7 @@ class _MatrixNode:
 
     def child(self, point: int) -> "_MatrixNode":
         mask = self.mat[:, point] == point
-        return _MatrixNode(self.mat[mask], self._arange)
+        return _MatrixNode(self.mat[mask])
 
 
 class _GroupNode:
@@ -185,8 +183,7 @@ class _GroupNode:
 
 
 def _matrix_from_group(group: PermGroup) -> _MatrixNode:
-    rows = np.stack([p.image for p in group.elements()])
-    return _MatrixNode(rows, group.domain._arange)
+    return _MatrixNode(group.element_images())
 
 
 def _make_node(group: PermGroup):

@@ -111,9 +111,7 @@ class Permutation:
             inv = np.empty(self.domain.size, dtype=np.int32)
             inv[self.image] = self.domain._arange
             inv.setflags(write=False)
-            p = Permutation(self.domain, inv, _validate=False)
-            p._inv = self
-            self._inv = p
+            self._inv = Permutation(self.domain, inv, _validate=False)
         return self._inv
 
     def is_identity(self) -> bool:
@@ -203,24 +201,53 @@ class SchreierTree:
         """Breadth-first search from ``orbit[pos]`` on, applying
         ``edges[first_edge:]`` to each orbit point in turn (points found are
         appended and visited too).  Stops at, and returns, the first point
-        found deeper than ``limit``; returns None once the orbit is closed."""
+        found deeper than ``limit``; returns None once the orbit is closed.
+
+        Runs one frontier at a time.  A point-by-point queue visits the
+        whole frontier before anything it appends, so it appends the first
+        occurrences of the frontier's fresh images taken point-major,
+        edge-minor; that is the order used here."""
         limit = self.domain.size if limit is None else limit
-        steps = [(2 * t + d, arr) for t in range(first_edge, len(self.edges))
-                 for d, arr in enumerate(self.edges[t])]
+        arrs = [arr for t in range(first_edge, len(self.edges)) for arr in self.edges[t]]
         sv, depth, orbit = self.sv, self.depth, self.orbit
-        while pos < len(orbit):
-            a = orbit[pos]
-            pos += 1
-            da = int(depth[a]) + 1
-            for code, arr in steps:
-                b = int(arr[a])
-                if sv[b] == -2:
-                    sv[b] = code
-                    depth[b] = da
-                    orbit.append(b)
-                    if da > limit:
-                        return b
+        frontier = np.asarray(orbit[pos:], dtype=np.int64)
+        while arrs and frontier.size:
+            cand = np.stack([arr[frontier] for arr in arrs], axis=1).ravel()
+            fresh = np.flatnonzero(sv[cand] == -2)
+            hit = fresh[np.sort(np.unique(cand[fresh], return_index=True)[1])]
+            found_depth = depth[frontier[hit // len(arrs)]] + 1
+            deep = np.flatnonzero(found_depth > limit)
+            if deep.size:  # keep what the queue appends up to the first deep point
+                hit, found_depth = hit[: deep[0] + 1], found_depth[: deep[0] + 1]
+            found = cand[hit]
+            sv[found] = 2 * first_edge + hit % len(arrs)
+            depth[found] = found_depth
+            orbit.extend(found.tolist())
+            if deep.size:
+                return orbit[-1]
+            frontier = found
         return None
+
+    def coset_products(self, rows: np.ndarray) -> np.ndarray:
+        """Image rows of h*u for every row h of ``rows`` and every coset
+        representative u, h-major with u in orbit order.
+
+        Filled one depth at a time: a point found from its tree parent by
+        the edge e has u = u_parent * e, so h*u = e[h*u_parent], one gather
+        per (depth, edge) group of points."""
+        n, orbit = self.domain.size, np.asarray(self.orbit)
+        out = np.empty((len(rows), len(orbit), n), dtype=np.int32)
+        out[:, 0] = rows
+        slot = np.empty(n, dtype=np.int64)
+        slot[orbit] = np.arange(len(orbit))
+        width = 2 * len(self.edges)
+        keys = self.depth[orbit[1:]] * width + self.sv[orbit[1:]]
+        for key in sorted(set(keys.tolist())):  # depth-major, so parents come first
+            group = np.flatnonzero(keys == key) + 1
+            t, d = divmod(key % width, 2)
+            forward, backward = self.edges[t][d], self.edges[t][1 - d]
+            out[:, group] = forward[out[:, slot[backward[orbit[group]]]]]
+        return out.reshape(-1, n)
 
     def _path(self, point: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """The (forward, backward) edge arrays on the tree path from
@@ -339,11 +366,15 @@ class _Level(SchreierTree):
 class StabChain:
     """Base, fundamental orbits and strong generators of a permutation group.
 
-    Built by a deterministic Schreier-Sims run.  If ``target_order`` is the
-    exact order of the generated group (for stabilizers it is known in
-    advance from the orbit-stabilizer theorem), construction stops as soon
-    as the product of fundamental orbit lengths reaches it; the partial
-    product never exceeds the true order, so the early exit is sound.
+    Built by a deterministic Schreier-Sims run.  ``target_order`` may be
+    any upper bound on the order of the generated group (for stabilizers it
+    is the exact order, known in advance from the orbit-stabilizer
+    theorem).  Construction stops as soon as the product of fundamental
+    orbit lengths reaches it.  The partial product never exceeds the true
+    order, so reaching the bound proves the chain complete: every Schreier
+    generator left unsifted would sift to the identity, and the chain is
+    level for level the one a full run returns.  A bound that is never
+    reached only costs the early stop.
     """
 
     __slots__ = ("domain", "levels")
@@ -500,15 +531,20 @@ class StabChain:
 
 class PermGroup:
     """A permutation group given by generators, with a cached stabilizer
-    chain providing exact order, membership and pointwise stabilizers."""
+    chain providing exact order, membership and pointwise stabilizers.
 
-    __slots__ = ("domain", "generators", "_chain")
+    ``order_bound``, if given, must be an upper bound on the order (the
+    order of an ambient group the generators lie in); the lazily built
+    chain uses it as ``StabChain.build``'s ``target_order``."""
+
+    __slots__ = ("domain", "generators", "order_bound", "_chain")
 
     def __init__(
         self,
         domain: Domain,
         generators: Iterable[Permutation],
         _chain: StabChain | None = None,
+        order_bound: int | None = None,
     ):
         gens = []
         for g in generators:
@@ -518,12 +554,13 @@ class PermGroup:
                 gens.append(g)
         self.domain = domain
         self.generators = tuple(gens)
+        self.order_bound = order_bound
         self._chain = _chain
 
     @property
     def chain(self) -> StabChain:
         if self._chain is None:
-            self._chain = StabChain.build(self.domain, self.generators)
+            self._chain = StabChain.build(self.domain, self.generators, target_order=self.order_bound)
         return self._chain
 
     @property
@@ -584,23 +621,23 @@ class PermGroup:
 
     # -- element enumeration -----------------------------------------------------
 
-    def elements(self) -> Iterator[Permutation]:
-        """All group elements, by transversal products through the chain.
+    def element_images(self) -> np.ndarray:
+        """The image rows of all group elements, one read-only
+        (order x degree) int32 array: the transversal products h*u through
+        the chain, with h running over the deeper levels' products and u
+        over the level's representatives in orbit order.
 
-        Intended for small groups; the count equals ``order``.
+        Intended for small groups; the row count equals ``order``.
         """
-        chain = self.chain
+        rows = self.domain._arange[np.newaxis]
+        for lvl in reversed(self.chain.levels):
+            rows = lvl.coset_products(rows)
+        rows.setflags(write=False)
+        return rows
 
-        def walk(k: int) -> Iterator[Permutation]:
-            if k == len(chain.levels):
-                yield self.domain.identity()
-                return
-            lvl = chain.levels[k]
-            for h in walk(k + 1):
-                for delta in lvl.orbit:
-                    yield h * Permutation(self.domain, lvl.image(delta), _validate=False)
-
-        return walk(0)
+    def elements(self) -> Iterator[Permutation]:
+        """All group elements, in the row order of ``element_images``."""
+        return (Permutation(self.domain, row, _validate=False) for row in self.element_images())
 
     def __repr__(self) -> str:
         built = self._chain is not None

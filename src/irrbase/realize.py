@@ -98,19 +98,28 @@ class GroupSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupSpec":
         """Parse the JSON form; malformed input raises KeyError, TypeError or
-        ValueError."""
+        ValueError.  Values are checked, never coerced: a string "false" is
+        not a bool and 2.9 is not an integer."""
         params = data["params"]
         if not isinstance(params, dict):
             raise TypeError(f"params must be a JSON object, got {type(params).__name__}")
         for key in ("family", "action"):
             if not isinstance(data[key], str):
                 raise TypeError(f"{key} must be a JSON string, got {type(data[key]).__name__}")
+        if not isinstance(data["extended"], bool):
+            raise TypeError(f"extended must be a JSON bool, got {data['extended']!r}")
+        lengths = data.get("expected_lengths", [])
+        if not isinstance(lengths, list):
+            raise TypeError(f"expected_lengths must be a JSON list, got {lengths!r}")
+        for what, value in [*params.items(), *(("expected_lengths", x) for x in lengths)]:
+            if type(value) is not int:
+                raise TypeError(f"{what} must be a JSON integer, got {value!r}")
         return cls(
             family=data["family"],
-            params=tuple(sorted((str(k), int(v)) for k, v in params.items())),
-            extended=bool(data["extended"]),
+            params=tuple(sorted(params.items())),
+            extended=data["extended"],
             action=data["action"],
-            expected_lengths=tuple(int(x) for x in data.get("expected_lengths", [])),
+            expected_lengths=tuple(lengths),
         )
 
 
@@ -206,7 +215,13 @@ def check_guard(spec: GroupSpec, guard: ResourceGuard) -> None:
 
 def instantiate(spec: GroupSpec, guard: ResourceGuard | None = None) -> tuple[PermGroup, Domain]:
     """Build the witness group, or refuse with a GuardExceededError carrying
-    the estimated sizes (the spec itself remains valid output)."""
+    the estimated sizes (the spec itself remains valid output).
+
+    The group carries ``estimate_order(spec)`` as its ``order_bound``.  That
+    is sound: the generators lie in Sym(n), Sz(q) extended by the field
+    automorphisms, or AGammaL_d(p^f) by construction, and the estimate is
+    the order of that ambient group, so no subgroup they generate exceeds
+    it.  The chain stays lazy; nothing is built here."""
     allowed = ACTIONS.get(spec.family)
     if allowed is None:
         raise ValueError(f"unknown family {spec.family!r}")
@@ -219,14 +234,13 @@ def instantiate(spec: GroupSpec, guard: ResourceGuard | None = None) -> tuple[Pe
     check_guard(spec, guard)
     if spec.family == "symmetric":
         group = symmetric_natural(spec.param("n"))
-        return group, group.domain
-    if spec.family == "suzuki":
-        act = build_suzuki_group(
+    elif spec.family == "suzuki":
+        group = build_suzuki_group(
             SuzukiParams(m=spec.param("m")), extended=spec.extended, action=spec.action
-        )
-        return act.group, act.domain
-    aff = build_affine_group(
-        AffineParams(d=spec.param("d"), p=spec.param("p"), f=spec.param("f")),
-        extended=spec.extended,
-    )
-    return aff.group, aff.domain
+        ).group
+    else:
+        group = build_affine_group(
+            AffineParams(d=spec.param("d"), p=spec.param("p"), f=spec.param("f")),
+            extended=spec.extended,
+        ).group
+    return PermGroup(group.domain, group.generators, order_bound=estimate_order(spec)), group.domain

@@ -84,3 +84,35 @@ def exhaustive_lengths(elements, n: int) -> set[int]:
 
 def min_base_oracle(elements, n: int) -> int:
     return min(exhaustive_lengths(elements, n)) if len(list(elements)) > 1 else 0
+
+
+def transversal_products(transversals: list[list[tuple]], n: int) -> list[tuple]:
+    """Every product h*u through a chain, as the recursive walk forms it:
+    h over the products of the deeper levels, u over the level's coset
+    representatives in the order given."""
+    if not transversals:
+        return [tuple(range(n))]
+    return [compose(h, u) for h in transversal_products(transversals[1:], n) for u in transversals[0]]
+
+
+def queue_bfs(edges: list[tuple], sv: list, depth: list, orbit: list,
+              pos: int = 0, first_edge: int = 0, limit: int | None = None):
+    """Point-by-point queue BFS over a Schreier vector, updating the plain
+    lists sv/depth/orbit in place: each point from orbit[pos] on meets
+    edges[first_edge:], each edge a (forward, backward) pair of tuples
+    coded 2*t + d.  Returns the first point found deeper than limit, or
+    None once the orbit is closed."""
+    limit = len(sv) if limit is None else limit
+    steps = [(2 * t + d, arr) for t in range(first_edge, len(edges)) for d, arr in enumerate(edges[t])]
+    while pos < len(orbit):
+        a = orbit[pos]
+        pos += 1
+        for code, arr in steps:
+            b = arr[a]
+            if sv[b] == -2:
+                sv[b] = code
+                depth[b] = depth[a] + 1
+                orbit.append(b)
+                if depth[b] > limit:
+                    return b
+    return None

@@ -148,6 +148,28 @@ def test_analyze_invalid_params(tmp_path, capsys):
         assert message in err, params
 
 
+def test_analyze_spec_values_are_checked_not_coerced(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for params, extended, lengths in (
+        ('{"d": 1, "f": 2, "p": 2}', '"false"', "[]"),
+        ('{"d": 1, "f": 2.9, "p": 2}', "false", "[]"),
+        ('{"d": true, "f": 2, "p": 2}', "false", "[]"),
+        ('{"d": 1, "f": "2", "p": 2}', "false", "[]"),
+        ('{"d": 1, "f": 2, "p": 2}', "0", "[]"),
+        ('{"d": 1, "f": 2, "p": 2}', "false", '["3"]'),
+        ('{"d": 1, "f": 2, "p": 2}', "false", "[3.0]"),
+        ('{"d": 1, "f": 2, "p": 2}', "false", '"34"'),
+    ):
+        bad.write_text(
+            f'{{"family": "affine", "params": {params}, "extended": {extended},'
+            f' "action": "vectors", "expected_lengths": {lengths}}}'
+        )
+        code, out, err = run_cli(capsys, "analyze", "--spec", str(bad))
+        assert code == EXIT_INVALID, (params, extended, lengths)
+        assert "cannot read group spec" in err, (params, extended, lengths)
+        assert out == ""
+
+
 def test_analyze_bad_chain_points(tmp_path, capsys):
     spec_path = tmp_path / "sym.json"
     run_cli(capsys, "realize", "--min", "3", "--max", "3", "--emit-spec", str(spec_path))

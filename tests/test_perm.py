@@ -1,12 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from irrbase.affine import AffineParams, build_affine_group
 from irrbase.perm import (
     Domain,
     DomainMismatchError,
     PermGroup,
+    SchreierTree,
     StabChain,
     induced_pair_action,
     integers,
@@ -17,6 +22,8 @@ from irrbase.perm import (
     pair_domain,
     symmetric_natural,
 )
+from irrbase.realize import GroupSpec, estimate_order, instantiate, witness_spec
+from irrbase.verify import random_small_groups
 
 
 def random_perm_strategy(n):
@@ -209,6 +216,128 @@ def test_element_enumeration_unique():
     assert len(set(els)) == 12
     for e in els:
         assert e in A4
+
+
+def _chain_levels(chain):
+    return [
+        (lvl.root, lvl.orbit, lvl.sv.tolist(), lvl.depth.tolist(),
+         [g.image.tolist() for g in lvl.gens], [[a.tolist() for a in e] for e in lvl.edges])
+        for lvl in chain.levels
+    ]
+
+
+AGAMMAL2 = {f: GroupSpec("affine", (("d", 2), ("f", f), ("p", 2)), True, "vectors", ()) for f in (2, 3)}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [witness_spec(5, 5), witness_spec(2, 3), witness_spec(2, 4), AGAMMAL2[2], AGAMMAL2[3]],
+    ids=["sym6", "sz8-pairs", "sz8x3-pairs", "agammal2-4", "agammal2-8"],
+)
+def test_certified_root_chain_equals_unhinted(spec):
+    group, _ = instantiate(spec)
+    assert group.order_bound == estimate_order(spec)
+    unhinted = StabChain.build(group.domain, group.generators)
+    assert group.order == unhinted.order == estimate_order(spec)
+    assert _chain_levels(group.chain) == _chain_levels(unhinted)
+
+
+def test_loose_or_unreached_order_bound_gives_exact_order():
+    d = integers(8)
+    two_group = PermGroup(d, [d.perm_from_cycles([0, 1]), d.perm_from_cycles([0, 2], [1, 3]),
+                              d.perm_from_cycles([0, 4], [1, 5], [2, 6], [3, 7])])
+    groups = [instantiate(AGAMMAL2[2])[0], two_group]
+    groups += [g for _, g in random_small_groups(20, seed=29, max_points=9, max_order=None)]
+    for G in groups:
+        exact = StabChain.build(G.domain, G.generators)
+        for bound in (exact.order + 1, 2 * exact.order, 3 * exact.order):
+            loose = PermGroup(G.domain, G.generators, order_bound=bound)
+            assert _chain_levels(loose.chain) == _chain_levels(exact), bound
+    # a proper subgroup (the unextended AGL_2(4)) under the ambient bound
+    plain = build_affine_group(AffineParams(d=2, p=2, f=2), extended=False).group
+    sub = PermGroup(plain.domain, plain.generators, order_bound=estimate_order(AGAMMAL2[2]))
+    assert sub.order == StabChain.build(plain.domain, plain.generators).order == 5760 // 2
+
+
+def test_certified_root_chain_sift_count(monkeypatch):
+    # the Sz(8) pair action reaches its ambient order before any sift
+    # (the unhinted run sifts 8,348 Schreier generators)
+    group, _ = instantiate(witness_spec(2, 3))
+    calls = []
+    sift = StabChain.sift
+    monkeypatch.setattr(StabChain, "sift", lambda self, *a: calls.append(1) or sift(self, *a))
+    assert group.order == 29120
+    assert len(calls) == 0
+
+
+def test_elements_match_product_walk_oracle():
+    d = integers(8)
+    groups = [
+        symmetric_natural(5),
+        PermGroup(d, [d.perm_from_cycles([0, 1]), d.perm_from_cycles([0, 2], [1, 3]),
+                      d.perm_from_cycles([0, 4], [1, 5], [2, 6], [3, 7])]),
+        build_affine_group(AffineParams(d=1, p=2, f=3), extended=True).group,
+    ]
+    rng = np.random.RandomState(3)
+    groups += [PermGroup(d, [d.perm(rng.permutation(8)) for _ in range(2)]) for _ in range(10)]
+    for G in groups:
+        if G.order > 5000:
+            continue
+        n = G.domain.size
+        reps = [[tuple(lvl.image(p).tolist()) for p in lvl.orbit] for lvl in G.chain.levels]
+        walk = oracles.transversal_products(reps, n)
+        assert [tuple(e.image.tolist()) for e in G.elements()] == walk
+        assert G.element_images().tolist() == [list(t) for t in walk]
+        assert set(walk) == oracles.mulclose([tuple(g.image.tolist()) for g in G.generators], n)
+
+
+def _tree_state(tree):
+    return tree.sv.tolist(), tree.depth.tolist(), list(tree.orbit)
+
+
+def test_grow_matches_queue_bfs_oracle():
+    rng = np.random.RandomState(17)
+    for trial in range(60):
+        n = int(rng.randint(2, 40))
+        d = integers(n)
+        gens = [d.perm(rng.permutation(n)) for _ in range(int(rng.randint(1, 5)))]
+        root = int(rng.randint(n))
+        edges = [(g.image, g.inverse().image) for g in gens]
+        plain = [tuple(tuple(a.tolist()) for a in e) for e in edges]
+        # partial extend: the first edges, then the rest over the old orbit
+        # and then over the points found, as _Level.extend runs it
+        split = int(rng.randint(1, len(edges) + 1))
+        tree = SchreierTree(d, root, edges[:split])
+        sv, depth, orb = [-2] * n, [0] * n, [root]
+        sv[root] = -1
+        assert tree.grow() == oracles.queue_bfs(plain[:split], sv, depth, orb)
+        assert _tree_state(tree) == (sv, depth, orb)
+        old_len = len(tree)
+        tree.edges.extend(edges[split:])
+        assert tree.grow(0, split) == oracles.queue_bfs(plain, sv, depth, orb, 0, split)
+        assert tree.grow(old_len) == oracles.queue_bfs(plain, sv, depth, orb, old_len)
+        assert _tree_state(tree) == (sv, depth, orb)
+        # a depth limit stops at the first point found deeper than it
+        limit = int(rng.randint(0, 4))
+        tree.reset()
+        sv, depth, orb = [-2] * n, [0] * n, [root]
+        sv[root] = -1
+        assert tree.grow(limit=limit) == oracles.queue_bfs(plain, sv, depth, orb, limit=limit)
+        assert _tree_state(tree) == (sv, depth, orb)
+
+
+def test_inverse_leaves_no_reference_cycle():
+    d = integers(6)
+    gc.disable()
+    try:
+        p = d.perm([1, 2, 0, 4, 5, 3])
+        inv = p.inverse()
+        image = weakref.ref(p.image)  # the array only p holds
+        del p
+        assert image() is None  # freed by reference counting alone
+        assert inv.image.tolist() == [2, 0, 1, 5, 3, 4]
+    finally:
+        gc.enable()
 
 
 # -- induced pair action ----------------------------------------------------------
