@@ -11,7 +11,8 @@ Conventions
   immutable and safe to share between threads.
 * Transversals are :class:`SchreierTree` objects: Schreier vectors (arrays
   of directed edge codes, no per-point elements) grown by one BFS, with
-  coset representatives reconstructed on demand by one path walk.  Both
+  coset representatives reconstructed on demand by one path walk, or all
+  at once as transversal products (``coset_products``).  Both
   ``orbit()`` and every stabilizer-chain level use it.  Chain trees are
   kept shallow by adding extra tree generators when a point's depth
   exceeds twice the current tree size.
@@ -241,7 +242,7 @@ class SchreierTree:
         slot = np.empty(n, dtype=np.int64)
         slot[orbit] = np.arange(len(orbit))
         width = 2 * len(self.edges)
-        keys = self.depth[orbit[1:]] * width + self.sv[orbit[1:]]
+        keys = self.depth[orbit[1:]].astype(np.int64) * width + self.sv[orbit[1:]]
         for key in sorted(set(keys.tolist())):  # depth-major, so parents come first
             group = np.flatnonzero(keys == key) + 1
             t, d = divmod(key % width, 2)
